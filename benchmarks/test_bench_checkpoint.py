@@ -14,9 +14,10 @@ gated here:
   resumed segment costs roughly half a straight run, and the archive
   is compact enough to branch from freely.
 
-The measurements land in ``BENCH_PR9.json`` (path overridable via
-``REPRO_BENCH_CHECKPOINT_OUT``); ``tools/bench_report.py`` folds them
-into the CI perf artifact.
+The measurements land in ``.bench-out/BENCH_PR9.json`` (gitignored;
+``REPRO_BENCH_CHECKPOINT_OUT`` names another path, e.g. to refresh the
+committed snapshot); ``tools/bench_report.py`` folds them into the CI
+perf artifact.
 """
 
 import json
@@ -24,7 +25,7 @@ import os
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import bench_out_path, regenerate
 
 from repro.fleet import ClusterPlan, ShardedFleetSim
 from repro.metrics.columns import BatchColumnStore
@@ -170,7 +171,7 @@ def test_bench_checkpoint_spill_and_resume(benchmark, tmp_path):
         "resumed_run_s": round(resume_run_s, 3),
         "resume_bit_identical": bool(identical),
     }
-    out_path = os.environ.get(OUT_ENV, DEFAULT_OUT)
+    out_path = bench_out_path(OUT_ENV, DEFAULT_OUT)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -25,9 +25,10 @@ and gates the two contractual properties of the fleet layer:
   can be created skip the speedup assertion — the equivalence gate
   always runs.
 
-Measurements land in ``BENCH_PR4.json`` (path overridable via
-``REPRO_BENCH_FLEET_OUT``); ``tools/bench_report.py`` folds them into
-the CI perf-trajectory artifact.
+Measurements land in ``.bench-out/BENCH_PR4.json`` (gitignored;
+``REPRO_BENCH_FLEET_OUT`` names another path, e.g. to refresh the
+committed snapshot); ``tools/bench_report.py`` folds them into the CI
+perf-trajectory artifact.
 """
 
 import json
@@ -36,7 +37,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import regenerate
+from conftest import bench_out_path, regenerate
 
 from repro.scenarios import compile_scenario
 from repro.scenarios.library import mixed_fleet_1k_scenario
@@ -138,7 +139,7 @@ def test_bench_fleet_speedup_and_equivalence(benchmark):
         "speedup": round(speedup, 2),
         "bit_identical": True,
     }
-    out_path = os.environ.get(OUT_ENV, DEFAULT_OUT)
+    out_path = bench_out_path(OUT_ENV, DEFAULT_OUT)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

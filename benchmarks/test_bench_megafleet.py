@@ -28,9 +28,10 @@ and enforces the engine's two contractual properties:
   algorithmic, not parallelism, so it owes the speedup even (indeed
   especially) on a single-CPU host.
 
-Measurements land in ``BENCH_PR6.json`` (path overridable via
-``REPRO_BENCH_MEGAFLEET_OUT``); ``tools/bench_report.py`` folds them
-into the CI perf-trajectory artifact.
+Measurements land in ``.bench-out/BENCH_PR6.json`` (gitignored;
+``REPRO_BENCH_MEGAFLEET_OUT`` names another path, e.g. to refresh the
+committed snapshot); ``tools/bench_report.py`` folds them into the CI
+perf-trajectory artifact.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ import os
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import bench_out_path, regenerate
 
 from repro.scenarios import compile_scenario
 from repro.scenarios.library import mixed_fleet_1k_scenario
@@ -136,7 +137,7 @@ def test_bench_megafleet_speedup_and_equivalence(benchmark):
         "speedup": round(speedup, 2),
         "bit_identical": True,
     }
-    out_path = os.environ.get(OUT_ENV, DEFAULT_OUT)
+    out_path = bench_out_path(OUT_ENV, DEFAULT_OUT)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -16,10 +16,11 @@ properties of the columnar telemetry subsystem:
   (the old implementation's list-comprehension-then-ndarray path,
   reproduced verbatim below).
 
-The measurements land in ``BENCH_PR3.json`` (path overridable via
-``REPRO_BENCH_OUT``) so the perf trajectory of the telemetry layer is
-recorded run over run; ``tools/bench_report.py`` wraps this benchmark
-plus the batched-backend gate into the CI artifact.
+The measurements land in ``.bench-out/BENCH_PR3.json`` (gitignored;
+``REPRO_BENCH_OUT`` names another path, e.g. to refresh the committed
+snapshot) so the perf trajectory of the telemetry layer is recorded run
+over run; ``tools/bench_report.py`` wraps this benchmark plus the
+batched-backend gate into the CI artifact.
 """
 
 import json
@@ -28,7 +29,7 @@ import sys
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import bench_out_path, regenerate
 
 from repro.core.controller import HeraclesController
 from repro.core.dram_model import profile_lc_dram_model
@@ -162,7 +163,7 @@ def test_bench_metrics_memory_and_speed(benchmark):
         "summary_metrics_speedup": round(
             legacy_metric_s / max(columnar_metric_s, 1e-9), 1),
     }
-    out_path = os.environ.get(OUT_ENV, DEFAULT_OUT)
+    out_path = bench_out_path(OUT_ENV, DEFAULT_OUT)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -35,9 +35,10 @@ cannot fail it while a genuinely skewed measurement still does.
   changes a simulated number.
 
 Measurements (gates, walls, trace volume, and the 1000-leaf phase
-breakdown) land in ``BENCH_PR10.json`` (path overridable via
-``REPRO_BENCH_OBS_OUT``); ``tools/bench_report.py`` folds them into
-the CI perf-trajectory artifact.
+breakdown) land in ``.bench-out/BENCH_PR10.json`` (gitignored;
+``REPRO_BENCH_OBS_OUT`` names another path, e.g. to refresh the
+committed snapshot); ``tools/bench_report.py`` folds them into the CI
+perf-trajectory artifact.
 """
 
 import dataclasses
@@ -48,7 +49,7 @@ import statistics
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import bench_out_path, regenerate
 
 from repro.obs import PROFILE_ENV, TRACE_ENV, render_profile
 from repro.scenarios import compile_scenario
@@ -183,7 +184,7 @@ def test_bench_obs_overhead_gates(benchmark):
                           for name, value in sorted(profile.items())},
         "bit_identical": True,
     }
-    out_path = os.environ.get(OUT_ENV, DEFAULT_OUT)
+    out_path = bench_out_path(OUT_ENV, DEFAULT_OUT)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

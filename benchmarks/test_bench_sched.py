@@ -17,9 +17,10 @@ gates the two contractual properties of the scheduler layer:
   ``MIN_GOODPUT_RATIO`` (1.2x) the BE goodput of the ``static``
   provisioning baseline, with zero additional SLO-window violations.
 
-Measurements land in ``BENCH_PR5.json`` (path overridable via
-``REPRO_BENCH_SCHED_OUT``); ``tools/bench_report.py`` folds them into
-the CI perf-trajectory artifact.
+Measurements land in ``.bench-out/BENCH_PR5.json`` (gitignored;
+``REPRO_BENCH_SCHED_OUT`` names another path, e.g. to refresh the
+committed snapshot); ``tools/bench_report.py`` folds them into the CI
+perf-trajectory artifact.
 """
 
 import json
@@ -27,7 +28,7 @@ import os
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import bench_out_path, regenerate
 
 from repro.scenarios import ScenarioSpec, compile_scenario
 from repro.scenarios.library import batch_backlog_1k_scenario
@@ -153,7 +154,7 @@ def test_bench_sched_goodput_and_equal_slo(benchmark):
         "additional_slo_violations": additional_violations,
         "bit_identical": True,
     }
-    out_path = os.environ.get(OUT_ENV, DEFAULT_OUT)
+    out_path = bench_out_path(OUT_ENV, DEFAULT_OUT)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -1,5 +1,6 @@
 """Legacy setup shim so editable installs work without the `wheel`
-package (offline environments).  All metadata lives in pyproject.toml."""
+package (offline environments: ``python setup.py develop``).  All
+metadata lives in pyproject.toml."""
 
 from setuptools import setup
 

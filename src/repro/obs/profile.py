@@ -7,21 +7,24 @@ tick; when enabled they bracket the tick's phases with
 :class:`~repro.fleet.shard.ShardResult`; the fleet layer sums them and
 adds its own ``rollup`` (telemetry re-assembly) and ``ipc``
 (process-pool dispatch residual) phases, so ``--profile`` can print
-one fleet-wide breakdown that tells the next perf PR exactly where
+one fleet-wide breakdown that tells the next perf change exactly where
 1000-leaf tick time goes.
 
 The phase set is fixed (:data:`PHASES`) so breakdowns from different
 shards and runs merge by plain key-wise addition:
 
+* ``build`` — constructing the in-process mega fleet engine (merged
+  group sims, offline DRAM models, controller attachment);
 * ``chaos`` — resolving injected fault/actuator events at tick start;
 * ``physics`` — load evaluation + the vectorized server physics;
 * ``telemetry`` — appending the tick's rows into the column stores;
 * ``controllers`` — stepping Heracles/baseline controllers;
 * ``rollup`` — fleet-level history re-assembly and stacking;
-* ``ipc`` — pool wall-clock not accounted inside any shard (dispatch,
-  pickling, result transport); with a parallel pool shard time
-  overlaps, so this residual is clamped at zero and is only an
-  *upper-bound-free* hint, exact at ``REPRO_JOBS=1``.
+* ``ipc`` — dispatch wall-clock not accounted to any phase above
+  (pool dispatch, pickling, result transport and packing); with a
+  parallel pool shard time overlaps, so this residual is clamped at
+  zero and is only an *upper-bound-free* hint, exact at
+  ``REPRO_JOBS=1``.
 
 Wall-clock is inherently nondeterministic, so profiling carries no
 bit-identity contract of its own — the contract is that *enabling it
@@ -38,8 +41,8 @@ from typing import Dict, Mapping, Optional
 PROFILE_ENV = "REPRO_PROFILE"
 
 #: The fixed phase vocabulary; merges are key-wise sums over this set.
-PHASES = ("chaos", "physics", "telemetry", "controllers", "rollup",
-          "ipc")
+PHASES = ("build", "chaos", "physics", "telemetry", "controllers",
+          "rollup", "ipc")
 
 
 def profile_enabled() -> bool:

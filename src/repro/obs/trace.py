@@ -138,7 +138,14 @@ def make_sink() -> Optional["TraceSink"]:
 
 
 class TraceSink:
-    """Append-only structured event log (ColumnStore-backed).
+    """Append-only structured event log.
+
+    Single events (:meth:`emit`) go into a :class:`ColumnStore`; the
+    batched engines' per-tick event blocks are kept as the arrays they
+    arrive in and concatenated once, by :meth:`payload` — a 1000-leaf
+    tick emits ~1k events, and copying them into a doubling store cost
+    more than building them.  Event order within a payload is
+    unspecified (see the module notes), so the split is invisible.
 
     The sink is process-local: each shard worker fills its own and
     ships the raw arrays back through its
@@ -148,10 +155,23 @@ class TraceSink:
 
     def __init__(self) -> None:
         self._store = ColumnStore(FIELDS)
+        self._blocks: List[Dict[str, np.ndarray]] = []
+        self._block_rows = 0
+
+    def __setstate__(self, state) -> None:
+        # Sinks pickled into checkpoints before event blocks existed.
+        state.setdefault("_blocks", [])
+        state.setdefault("_block_rows", 0)
+        self.__dict__.update(state)
 
     def __len__(self) -> int:
         """Number of recorded events."""
-        return len(self._store)
+        return len(self._store) + self._block_rows
+
+    def _append_block(self, columns: Dict[str, np.ndarray]) -> None:
+        """Keep one block of events (fresh arrays, one per field)."""
+        self._blocks.append(columns)
+        self._block_rows += len(columns["t_s"])
 
     def emit(self, t_s: float, member: int, source: str, kind: str,
              a: float = _NAN, b: float = _NAN, slo: float = _NAN,
@@ -186,7 +206,9 @@ class TraceSink:
         the same canonical columns, so :func:`merge_payloads` output is
         identical whichever emit path produced them.
         """
-        members = np.asarray(members, dtype=np.int64)
+        # A copy: the block is kept as is, and callers may reuse
+        # their member array.
+        members = np.array(members, dtype=np.int64)
         count = len(members)
         if not count:
             return
@@ -199,7 +221,7 @@ class TraceSink:
                 column = np.full(count, float(column))
             return np.where(np.isinf(column), _NAN, column)
 
-        self._store.append_rows({
+        self._append_block({
             "t_s": np.full(count, float(t_s)),
             "member": members,
             "source": np.full(count, SOURCE_CODE[source], dtype=np.int64),
@@ -225,13 +247,16 @@ class TraceSink:
         hot loop calls this once per tick — a 1000-leaf mega tick
         emits ~1k events, far too many for per-event Python calls.
         """
-        kind_rows, member_cols = np.nonzero(old != new)
-        count = len(kind_rows)
+        # Flat indices in row-major order (np.nonzero's order), split
+        # back into (kind, member) — cheaper than 2-D nonzero + gather.
+        changed = np.flatnonzero(old != new)
+        count = len(changed)
         if not count:
             return
-        a = old[kind_rows, member_cols]
-        b = new[kind_rows, member_cols]
-        self._store.append_rows({
+        kind_rows, member_cols = np.divmod(changed, old.shape[1])
+        a = old.ravel()[changed]
+        b = new.ravel()[changed]
+        self._append_block({
             "t_s": np.full(count, float(t_s)),
             "member": np.asarray(members, dtype=np.int64)[member_cols],
             "source": np.full(count, SOURCE_CODE["controller"],
@@ -246,10 +271,12 @@ class TraceSink:
     def payload(self) -> Dict[str, np.ndarray]:
         """The recorded events as ``{field: array}`` (materialized).
 
-        The arrays are copies, safe to pickle across the process pool
-        and to hold after the sink keeps growing.
+        The arrays are fresh concatenations, safe to pickle across the
+        process pool and to hold after the sink keeps growing.
         """
-        return {name: np.array(self._store.raw_column(name))
+        return {name: np.concatenate(
+                    [self._store.raw_column(name)]
+                    + [block[name] for block in self._blocks])
                 for name, _ in FIELDS}
 
 

@@ -366,6 +366,19 @@ class BatchHistory:
         return len(self._store) if self._store is not None else 0
 
 
+def _distinct(objs: Sequence) -> tuple:
+    """The distinct objects of ``objs`` by identity, and each entry's row.
+
+    Returns ``(distinct, rows)``: ``distinct[rows[i]] is objs[i]``.  A
+    table built once per distinct object expands to every entry with
+    one gather, ``table[rows]`` — the Python work follows the number of
+    distinct objects, not the length of ``objs``.
+    """
+    ids = np.fromiter(map(id, objs), dtype=np.uint64, count=len(objs))
+    _, first, rows = np.unique(ids, return_index=True, return_inverse=True)
+    return [objs[i] for i in first], rows.reshape(-1)
+
+
 def _as_list(value, n: int, what: str) -> list:
     """Broadcast a scalar-or-sequence argument to a list of length n."""
     if isinstance(value, (list, tuple)):
@@ -460,8 +473,8 @@ class BatchColocationSim:
         self._rapl_started = False
         self._rapl_smoothing = 0.5
         # Tail-noise bookkeeping (a no-draw member keeps factor 1.0).
-        self._noise_sigmas = [float(x) for x in self._lc["noise_sigma"]]
-        self._any_noise = any(s > 0 for s in self._noise_sigmas)
+        self._noise_sigmas = self._lc["noise_sigma"].tolist()
+        self._any_noise = bool((self._lc["noise_sigma"] > 0).any())
         self._noise_draws = np.ones(n)
         self._lc_net_list: Optional[List[float]] = [0.0] * n
         self._gathered_be_cores = np.zeros(n, dtype=np.int64)
@@ -617,42 +630,38 @@ class BatchColocationSim:
             self._obs_map = np.arange(self.n, dtype=np.int64)
         return self._obs_map
 
-    def _obs_actuator_state(self):
+    def _obs_actuator_state(self) -> np.ndarray:
         """The traced actuator columns ``(gate, cores, llc, dvfs, ceil)``.
 
         A pure re-gather through the member-surface hook (so the mega
         engine's array state reads through its own override), with the
         ``_gathered_be_cores`` cache restored — the fleet drivers
         record that cache as the tick's ``be_cores`` row, and tracing
-        must never perturb it.
+        must never perturb it.  Returned as one ``(5, N)`` float array
+        (see :func:`_traced_actuators`).
         """
         saved = self._gathered_be_cores
         (be_enabled, be_eff, _lc_ways, be_ways, dvfs_cap, _throttle,
          be_ceil) = self._gather_actuator_state()
         self._gathered_be_cores = saved
-        return (be_enabled, be_eff, np.where(be_enabled, be_ways, 0),
-                dvfs_cap, be_ceil)
+        return _traced_actuators(be_enabled, be_eff, be_ways, dvfs_cap,
+                                 be_ceil)
 
     def _obs_emit_decisions(self, pre, slo_fraction, load) -> None:
         """Emit one event per actuator a controller changed this tick.
 
-        ``pre`` is the traced actuator tuple derived from the tick's
-        step-2 gather (post-chaos, pre-controller — chaos mutations
-        carry their own events); attached triggering signals are the
-        tick's observed SLO fraction and offered load.  Uncapped
-        DVFS/ceiling values (``inf``) are emitted as null.  The whole
-        tick goes out as one fused ``(5, N)`` delta append (see
-        :meth:`TraceSink.emit_actuator_deltas`) — array-shaped cost,
-        no per-event Python calls.
+        ``pre`` is the traced ``(5, N)`` actuator array derived from
+        the tick's step-2 gather (post-chaos, pre-controller — chaos
+        mutations carry their own events); attached triggering signals
+        are the tick's observed SLO fraction and offered load.
+        Uncapped DVFS/ceiling values (``inf``) are emitted as null.
+        The whole tick goes out as one fused ``(5, N)`` delta append
+        (see :meth:`TraceSink.emit_actuator_deltas`) — array-shaped
+        cost, no per-event Python calls.
         """
-        post = self._obs_actuator_state()
-        old = np.stack([np.asarray(column, dtype=np.float64)
-                        for column in pre])
-        new = np.stack([np.asarray(column, dtype=np.float64)
-                        for column in post])
         self._obs_trace.emit_actuator_deltas(
-            self.time_s, self._obs_members(), old, new,
-            slo_fraction, load)
+            self.time_s, self._obs_members(), pre,
+            self._obs_actuator_state(), slo_fraction, load)
 
     # ------------------------------------------------------------------
     # Chaos events (fault injection)
@@ -785,10 +794,13 @@ class BatchColocationSim:
         specs = list(specs)
         if len(specs) != self.n:
             raise ValueError(f"specs: expected {self.n} entries")
+        # Fleet members share a handful of spec objects: check and read
+        # each distinct one once, then expand the columns by its rows.
+        distinct, rows = _distinct(specs)
         norm = _dc_replace(
             base, socket=_dc_replace(base.socket, dram_bw_gbps=1.0),
             nic=_dc_replace(base.nic, link_gbps=1.0))
-        for s in specs:
+        for s in distinct:
             if _dc_replace(
                     s, socket=_dc_replace(s.socket, dram_bw_gbps=1.0),
                     nic=_dc_replace(s.nic, link_gbps=1.0)) != norm:
@@ -796,8 +808,8 @@ class BatchColocationSim:
                     "specs may differ only in DRAM bandwidth and NIC "
                     "link rate; every structural field (cores, cache, "
                     "turbo, power) must match the batch spec")
-        dram = np.array([s.socket.dram_bw_gbps for s in specs])
-        link = np.array([s.nic.link_gbps for s in specs])
+        dram = np.array([s.socket.dram_bw_gbps for s in distinct])[rows]
+        link = np.array([s.nic.link_gbps for s in distinct])[rows]
         dram_col = (base.socket.dram_bw_gbps
                     if (dram == base.socket.dram_bw_gbps).all()
                     else dram[:, None])
@@ -806,8 +818,14 @@ class BatchColocationSim:
         return dram_col, link_col
 
     def _build_static_arrays(self, lcs, bes) -> None:
+        # Every table row is a pure function of its workload object, and
+        # fleets pass a few shared objects N times over: evaluate each
+        # row once per distinct object, then expand with one gather.
+        lc_distinct, lc_rows = _distinct(lcs)
+
         def arr(fn, dtype=float):
-            return np.array([fn(w) for w in lcs], dtype=dtype)
+            values = np.array([fn(w) for w in lc_distinct], dtype=dtype)
+            return values[lc_rows]
 
         p = lambda w: w.profile
         s = lambda w: w.profile.sensitivity
@@ -846,22 +864,26 @@ class BatchColocationSim:
         self._lc["net_peak"] = self._lc["net_frac"] * self._nic_link
         self._lc["tail_mass"] = 1.0 - self._lc["percentile"]
         # Queueing pool structure depends only on the integer core count:
-        # table[i, servers] is servers_per_pool for member i.
+        # table[j, servers] is servers_per_pool for distinct workload j,
+        # and member i reads row ``_member_index[i]``.
         total = self.spec.total_cores
-        table = np.ones((len(lcs), total + 1), dtype=np.int64)
-        for i, w in enumerate(lcs):
+        table = np.ones((len(lc_distinct), total + 1), dtype=np.int64)
+        for j, w in enumerate(lc_distinct):
             ps = w.profile.pool_size
             for servers in range(1, total + 1):
                 pools = max(1, round(servers / ps)) if ps else 1
-                table[i, servers] = max(1, round(servers / pools))
+                table[j, servers] = max(1, round(servers / pools))
         self._k_table = table
-        self._member_index = np.arange(len(lcs))
+        self._member_index = lc_rows
+
+        be_distinct, be_rows = _distinct(bes)
 
         def barr(fn, default=0.0):
             return np.array([fn(w.profile) if w is not None else default
-                             for w in bes], dtype=float)
+                             for w in be_distinct], dtype=float)[be_rows]
 
-        self._has_be = np.array([w is not None for w in bes], dtype=bool)
+        self._has_be = np.array([w is not None for w in be_distinct],
+                                dtype=bool)[be_rows]
         self._be = {
             # min(3, activity * power_weight) — the scalar demand() value.
             "activity": barr(lambda q: min(3.0, q.activity * q.power_weight)),
@@ -953,12 +975,11 @@ class BatchColocationSim:
         self._gathered_be_cores = be_eff
         pre_act = None
         if self._obs_trace is not None:
-            # Copies, not views: the mega engine's gather returns its
+            # A copy, not views: the mega engine's gather returns its
             # live actuator arrays, which controllers mutate in place —
             # the pre-controller snapshot must not follow them.
-            pre_act = (np.array(be_enabled), np.array(be_eff),
-                       np.where(be_enabled, be_ways, 0),
-                       np.array(dvfs_cap), np.array(be_ceil))
+            pre_act = _traced_actuators(be_enabled, be_eff, be_ways,
+                                        dvfs_cap, be_ceil)
 
         be_running = self._has_be & be_enabled & (be_eff > 0)
 
@@ -1163,7 +1184,7 @@ class BatchColocationSim:
                 dram_bw_gbps=dram["total_gbps"],
                 dram_utilization=dram["max_util"],
                 cpu_utilization=self._tick["cpu_utilization"],
-                power_fraction_of_tdp=(power_s.sum(axis=1)
+                power_fraction_of_tdp=(_socket_sum(power_s)
                                        / (socket.tdp_watts * S)),
                 lc_net_gbps=net["lc_ach"],
                 be_net_gbps=net["be_ach"],
@@ -1398,21 +1419,21 @@ class BatchColocationSim:
         delay = delay + 6.0 * oversub
 
         # Accumulate across sockets (offered demand is unthrottled; the
-        # delay factor is the per-task max).  Socket-axis sums add in
-        # socket order and excluded sockets contribute exact zeros, so
-        # this reproduces the scalar per-socket accumulation loop.
-        lc_dem = dem_lc.sum(axis=1)  # dem_lc is exactly the LC demand
-        lc_ach = (dem_lc * scale).sum(axis=1)
-        lc_delay = np.maximum(1.0, np.where(inc_lc, delay, 1.0).max(axis=1))
-        be_dem = np.where(inc_be, bw_be, 0.0).sum(axis=1)
-        be_ach = (dem_be * scale).sum(axis=1)
-        be_delay = np.maximum(1.0, np.where(inc_be, delay, 1.0).max(axis=1))
+        # delay factor is the per-task max).  Socket folds add in socket
+        # order and excluded sockets contribute exact zeros, so this
+        # reproduces the scalar per-socket accumulation loop.
+        lc_dem = _socket_sum(dem_lc)  # dem_lc is exactly the LC demand
+        lc_ach = _socket_sum(dem_lc * scale)
+        lc_delay = np.maximum(1.0, _socket_max(np.where(inc_lc, delay, 1.0)))
+        be_dem = _socket_sum(np.where(inc_be, bw_be, 0.0))
+        be_ach = _socket_sum(dem_be * scale)
+        be_delay = np.maximum(1.0, _socket_max(np.where(inc_be, delay, 1.0)))
         return {
             "lc_dem": lc_dem, "lc_ach": lc_ach, "lc_delay": lc_delay,
             "be_dem": be_dem, "be_ach": be_ach, "be_delay": be_delay,
-            "total_gbps": achieved_total.sum(axis=1),
-            "max_util": util.max(axis=1),
-            "worst_socket_gbps": achieved_total.max(axis=1),
+            "total_gbps": _socket_sum(achieved_total),
+            "max_util": _socket_max(util),
+            "worst_socket_gbps": _socket_max(achieved_total),
         }
 
     def _resolve_network(self, net_lc, flows_lc, net_be, flows_be, be_ceil,
@@ -1479,6 +1500,45 @@ def _weighted_freq(freq_s: np.ndarray, cores_s: np.ndarray) -> np.ndarray:
         acc = acc + freq_s[:, s] * cores_s[:, s]
         cores = cores + cores_s[:, s]
     return np.where(cores > 0, acc / np.where(cores > 0, cores, 1), 0.0)
+
+
+def _traced_actuators(be_enabled, be_eff, be_ways, dvfs_cap,
+                      be_ceil) -> np.ndarray:
+    """The traced actuator state as one fresh ``(5, N)`` float array.
+
+    Rows follow :data:`~repro.obs.trace.ACTUATOR_KINDS` — BE gate,
+    cores, LLC ways (0 while disabled), DVFS cap, network ceiling — and
+    the array never aliases the (possibly live) inputs.
+    """
+    return np.array([be_enabled, be_eff, np.where(be_enabled, be_ways, 0),
+                     dvfs_cap, be_ceil], dtype=np.float64)
+
+
+def _socket_sum(x_s: np.ndarray) -> np.ndarray:
+    """Sum of an (N, S) array over sockets, folded in socket order.
+
+    ``0.0 + x[:, 0] + x[:, 1] + ...`` — the scalar engine's per-socket
+    accumulation order for any S, and bit-identical to NumPy's
+    ``x.sum(axis=1)`` for S <= 2 (signed zeros included).  NumPy's
+    reduce over a length-2 inner axis costs about 20x the two column
+    adds at fleet sizes.
+    """
+    acc = 0.0 + x_s[:, 0]
+    for s in range(1, x_s.shape[1]):
+        acc = acc + x_s[:, s]
+    return acc
+
+
+def _socket_max(x_s: np.ndarray) -> np.ndarray:
+    """Max of an (N, S) array over sockets, folded in socket order.
+
+    Bit-identical to NumPy's ``x.max(axis=1)`` for S <= 2; see
+    :func:`_socket_sum` for why it is folded by hand.
+    """
+    acc = x_s[:, 0]
+    for s in range(1, x_s.shape[1]):
+        acc = np.maximum(acc, x_s[:, s])
+    return acc
 
 
 def _resolve_partition(part_mb, mask_s, hot_s, bulk_s, access_s,

@@ -34,9 +34,11 @@ module reimplements as array state is the per-member control plane:
 * the DVFS cap as an index into a precomputed frequency ladder whose
   lower/raise transition tables are built with the *scalar*
   ``clamp_ghz`` (sidestepping any ``np.round`` vs ``round`` drift);
-* tail-noise draws prefetched in chunks per member stream
-  (``Generator.lognormal(size=k)`` consumes the bitstream exactly as
-  ``k`` scalar calls).
+* tail-noise draws prefetched per member stream in chunks that start
+  at :data:`NOISE_CHUNK_MIN` rows and double on each refill up to
+  :data:`NOISE_CHUNK_MAX` (``Generator.lognormal(size=k)`` consumes the
+  bitstream exactly as ``k`` scalar calls, so the chunk schedule never
+  changes a draw, and a short run draws about what it uses).
 
 ``tests/test_fleet.py`` and ``benchmarks/test_bench_megafleet.py``
 enforce bit-identity of every cluster roll-up against the sharded and
@@ -47,11 +49,19 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import BatchColocationSim
+from ..obs.profile import make_profiler
+from .batch import BatchColocationSim, _distinct, _socket_max
+
+
+#: Rows of the first tail-noise prefetch; each refill doubles the
+#: chunk, up to :data:`NOISE_CHUNK_MAX` rows.
+NOISE_CHUNK_MIN = 64
+NOISE_CHUNK_MAX = 1024
 
 
 def _seq_mean(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -177,8 +187,13 @@ class MegaClusterSim(BatchColocationSim):
     member-surface hooks are overridden with array-state
     implementations, and Heracles (when attached via
     :meth:`attach_vec_heracles`) steps as grouped array ops over the
-    merged membership.  Construction cost is O(distinct workloads),
-    not O(members).
+    merged membership.
+
+    Construction does its Python-level work once per *distinct*
+    workload, BE task and machine-spec object — every static table row,
+    spec check and controller constant — and expands the rows to the
+    members with one index gather each; what remains per member is
+    array work plus seeding one noise ``Generator`` per noisy member.
     """
 
     def __init__(self, lc, trace, bes, spec=None, seeds=None,
@@ -196,13 +211,10 @@ class MegaClusterSim(BatchColocationSim):
         # Contiguous runs sharing one trace object (one run per cluster
         # when the fleet merges its plans into this engine) answer the
         # offered-load query with a single scalar evaluation per run.
-        trace_groups = []
-        start = 0
-        for i in range(1, n + 1):
-            if i == n or traces[i] is not traces[start]:
-                trace_groups.append((slice(start, i), traces[start]))
-                start = i
-        self._trace_groups = trace_groups
+        ids = np.fromiter(map(id, traces), dtype=np.uint64, count=n)
+        cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), n]
+        self._trace_groups = [(slice(lo, hi), traces[lo])
+                              for lo, hi in zip(cuts[:-1], cuts[1:])]
 
         # -- Vector actuator state (the Actuators field set as arrays) --
         self._act_enabled = np.zeros(n, dtype=bool)
@@ -227,19 +239,13 @@ class MegaClusterSim(BatchColocationSim):
         # -- Vector monitors ------------------------------------------------
         self._vmon = _VecLatencyMonitor()
         from ..workloads.best_effort import reference_throughput_units
-        refs = np.zeros(n)
-        memo: Dict[int, float] = {}
-        for i, be in enumerate(be_list):
-            if be is None:
-                continue
-            key = id(be)
-            if key not in memo:
-                memo[key] = reference_throughput_units(be)
-            refs[i] = memo[key]
+        be_distinct, be_rows = _distinct(be_list)
+        refs = np.array([0.0 if be is None else reference_throughput_units(be)
+                         for be in be_distinct], dtype=float)[be_rows]
         self._be_ref_safe = np.where(refs > 0, refs, 1.0)
         self._be_last_norm = np.zeros(n)
 
-        # -- Tail-noise streams, prefetched in chunks ----------------------
+        # -- Tail-noise streams, prefetched in growing chunks --------------
         sigmas = np.asarray(self._noise_sigmas)
         self._noise_idx = np.nonzero(sigmas > 0)[0]
         self._noise_all = len(self._noise_idx) == n
@@ -281,16 +287,20 @@ class MegaClusterSim(BatchColocationSim):
     def _tail_noise_factors(self) -> Optional[np.ndarray]:
         if not self._any_noise:
             return None
-        if self._noise_chunk is None or self._noise_pos >= len(
-                self._noise_chunk):
+        chunk = self._noise_chunk
+        if chunk is None or self._noise_pos >= len(chunk):
             # One chunked draw per member stream: a Generator fills an
             # array by repeating the scalar sampling routine, so k
             # prefetched draws consume the stream exactly as k scalar
-            # lognormal() calls by the matching BatchMember rng.
-            chunk = np.empty((1024, len(self._noise_idx)))
+            # lognormal() calls by the matching BatchMember rng — for
+            # any chunk sizes.  The chunk starts small and doubles on
+            # each refill, so a short run draws about what it uses.
+            rows = (NOISE_CHUNK_MIN if chunk is None
+                    else min(NOISE_CHUNK_MAX, 2 * len(chunk)))
+            chunk = np.empty((rows, len(self._noise_idx)))
             for j, i in enumerate(self._noise_idx):
                 chunk[:, j] = self._noise_rngs[j].lognormal(
-                    mean=0.0, sigma=self._noise_sigmas[i], size=1024)
+                    mean=0.0, sigma=self._noise_sigmas[i], size=rows)
             self._noise_chunk = chunk
             self._noise_pos = 0
         if self._noise_all:
@@ -338,16 +348,12 @@ class MegaClusterSim(BatchColocationSim):
             model_segments = [(slice(0, self.n), dram_model)]
         spec = self.spec
         mb_per_way = spec.socket.llc_mb / spec.socket.llc_ways
-        floors = np.ones(self.n, dtype=np.int64)
-        memo: Dict[int, int] = {}
-        for i, w in enumerate(self._lcs):
-            key = id(w)
-            if key not in memo:
-                hot_per_socket = w.profile.hot_mb / spec.sockets
-                floor = min(spec.socket.llc_ways - 1,
-                            int(hot_per_socket / mb_per_way) + 2)
-                memo[key] = max(1, floor)
-            floors[i] = memo[key]
+        distinct, rows = _distinct(self._lcs)
+        floors = np.array([
+            max(1, min(spec.socket.llc_ways - 1,
+                       int(w.profile.hot_mb / spec.sockets / mb_per_way)
+                       + 2))
+            for w in distinct], dtype=np.int64)[rows]
         if managed is not None:
             # for_sim mutates only the actuators it attaches to, so an
             # unmanaged leaf keeps the Actuators default floor of 1 on
@@ -461,14 +467,10 @@ class _VecHeracles:
         # calibration, and DRAM/NIC capacity; every structural scalar
         # is shared by the batch's merge contract).
         self.slo_ms = sim._lc["slo_ms"]
-        g = np.empty(n)
-        memo: Dict[int, float] = {}
-        for i, w in enumerate(sim._lcs):
-            key = id(w)
-            if key not in memo:
-                memo[key] = guaranteed_frequency_ghz(w)
-            g[i] = memo[key]
-        self.guaranteed_ghz = g
+        distinct, rows = _distinct(sim._lcs)
+        self.guaranteed_ghz = np.array(
+            [guaranteed_frequency_ghz(w) for w in distinct],
+            dtype=float)[rows]
         self.sockets = max(1, spec.sockets)
         self.total_cores = spec.total_cores
         self.tdp_watts = spec.socket.tdp_watts
@@ -742,7 +744,7 @@ class _VecHeracles:
         sim = self.sim
         # max over sockets of rapl/tdp == rapl.max/tdp (division by a
         # positive scalar is monotone, so the max commutes bitwise).
-        power_fraction = sim._rapl_watts.max(axis=1) / self.tdp_watts
+        power_fraction = _socket_max(sim._rapl_watts) / self.tdp_watts
         ls_freq = sim._tick["lc_freq_ghz"]
         threshold = cfg.power_tdp_threshold
         lower = self._gate((power_fraction > threshold)
@@ -804,6 +806,10 @@ class MegaFleetSim:
         from ..hardware.spec import default_machine_spec
         from ..sim.runner import memoized_dram_model
         from ..workloads.best_effort import make_be_workload
+        # Construction is the profiler's ``build`` phase (None when
+        # profiling is off: the whole off path is one ``is None`` check).
+        self._build_prof = make_profiler()
+        mark = perf_counter() if self._build_prof is not None else 0.0
         self.plans = list(plans)
 
         def structural_key(spec):
@@ -866,6 +872,8 @@ class MegaFleetSim:
                 sim.set_chaos_events(bucket["events"])
             self.groups.append((sim, bucket["spans"]))
         self._set_member_maps()
+        if self._build_prof is not None:
+            self._build_prof.add("build", perf_counter() - mark)
 
     def _set_member_maps(self) -> None:
         """Stamp fleet-global member indices on every group sim.
@@ -1077,6 +1085,8 @@ class MegaFleetSim:
             results[0].trace = concat_payloads(payloads)
         profiles = [sim._obs_prof.as_dict() for sim, _ in self.groups
                     if sim._obs_prof is not None]
+        if self._build_prof is not None:
+            profiles.append(self._build_prof.as_dict())
         if profiles:
             results[0].profile = merge_profiles(profiles)
         return results

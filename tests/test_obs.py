@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from repro.obs import (FIELDS, KINDS, PHASES, SOURCES, PhaseProfiler,
                        make_sink, merge_payloads, merge_profiles,
                        read_jsonl, render_profile, trace_enabled,
                        write_jsonl)
-from repro.scenarios import CheckpointSpec, load_scenario, run_scenario
+from repro.scenarios import (CheckpointSpec, compile_scenario, load_scenario,
+                             run_scenario)
 from repro.scenarios.spec import (FleetSpec, InjectionSpec, ScenarioSpec,
                                   ScheduleSpec, ShardSpec, TraceSpec,
                                   JobSpec, WorkloadSpec)
@@ -132,6 +134,35 @@ class TestTraceSchema:
         payload = sink.payload()
         assert tuple(payload) == FIELD_NAMES
         assert all(len(payload[name]) == 2 for name in payload)
+
+    def test_block_and_single_events_share_one_payload(self):
+        import pickle
+        sink = TraceSink()
+        sink.emit(1.0, -1, "checkpoint", "save", a=10.0)
+        members = np.array([0, 1, 2])
+        sink.emit_block(2.0, members, "chaos", "chaos_leaf_crash")
+        members[:] = 7  # the sink keeps its own copy
+        old = np.zeros((5, 3))
+        new = old.copy()
+        new[1, 2] = 4.0
+        sink.emit_actuator_deltas(3.0, members, old, new, np.ones(3),
+                                  np.ones(3))
+        # A sink pickled before event blocks existed holds only its
+        # single-event store; it must keep recording after a restore.
+        state = dict(sink.__dict__)
+        del state["_blocks"], state["_block_rows"]
+        legacy = TraceSink.__new__(TraceSink)
+        legacy.__setstate__(pickle.loads(pickle.dumps(state)))
+        legacy.emit_block(4.0, [5], "chaos", "chaos_leaf_restart")
+        for restored, count in ((pickle.loads(pickle.dumps(sink)), 5),
+                                (legacy, 2)):
+            payload = restored.payload()
+            assert len(restored) == count
+            assert all(payload[name].dtype == dtype
+                       and len(payload[name]) == count
+                       for name, dtype in FIELDS)
+        members_seen = sorted(sink.payload()["member"].tolist())
+        assert members_seen == [-1, 0, 1, 2, 7]
 
     def test_unknown_source_and_kind_are_rejected(self):
         sink = TraceSink()
@@ -302,6 +333,43 @@ class TestProfiler:
         assert all(value >= 0.0 for value in result.profile.values())
         core = {"chaos", "physics", "telemetry", "controllers"}
         assert sum(result.profile.get(name, 0.0) for name in core) > 0.0
+
+    def test_mega_construction_is_build_not_ipc(self, monkeypatch):
+        """In-process mega construction lands in ``build``; ``ipc`` is
+        only the dispatch residual outside the engine.
+
+        Each group sim's construction is padded with a fixed sleep, so
+        the attribution is checked against a known lower bound rather
+        than against host timing.
+        """
+        from repro.sim import megabatch
+        delay_s = 0.25
+        original = megabatch.MegaClusterSim.__init__
+
+        def slow_init(self, *args, **kwargs):
+            time.sleep(delay_s)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(megabatch.MegaClusterSim, "__init__",
+                            slow_init)
+        spec = with_fleet(fleet_spec(duration_s=10.0), engine="mega")
+        spec.validate()
+        result = run_traced(spec, trace=False, profile=True)
+        assert set(result.profile) <= set(PHASES)
+        assert result.profile["build"] >= delay_s
+        assert result.profile["ipc"] < delay_s
+
+    def test_build_phase_off_path(self):
+        from repro.sim.megabatch import MegaFleetSim
+        saved = os.environ.pop(PROFILE_ENV, None)
+        try:
+            spec = with_fleet(fleet_spec(duration_s=10.0), engine="mega")
+            fleet = compile_scenario(spec)._build_fleet(spec.fleet)
+            targets = {plan.name: (10.0, 20.0) for plan in fleet.clusters}
+            assert MegaFleetSim(fleet.clusters, targets)._build_prof is None
+        finally:
+            if saved is not None:
+                os.environ[PROFILE_ENV] = saved
 
     def test_merge_accumulates(self):
         one = PhaseProfiler()

@@ -1,7 +1,11 @@
 #!/usr/bin/env python
 """Run the perf-gating benchmarks and write the BENCH_PR10.json report.
 
-Usage: ``python tools/bench_report.py [--out BENCH_PR10.json] [--root DIR]``
+Usage: ``python tools/bench_report.py [--out PATH] [--root DIR]``
+
+The report goes to ``.bench-out/BENCH_PR10.json`` (gitignored) unless
+``--out`` names another path; refreshing the committed snapshot is the
+explicit ``--out BENCH_PR10.json``.
 
 Runs the telemetry benchmark (``benchmarks/test_bench_metrics.py`` —
 history-memory and summary-speed gates), the batched-backend benchmark
@@ -115,8 +119,8 @@ def load_trajectory(root: str = ROOT, exclude: str = "") -> dict:
     A snapshot that is unparsable is reported to stderr and skipped —
     the trajectory is best-effort context, never a reason to fail the
     report run.  ``exclude`` names the report's own output path, which
-    must not be folded into itself (the default output is
-    ``BENCH_PR6.json``, the same filename as the newest snapshot).
+    must not be folded into itself (``--out BENCH_PR10.json`` refreshes
+    the newest snapshot in place).
     """
     trajectory = {}
     for name in trajectory_snapshots(root):
@@ -149,10 +153,11 @@ def resolve_out(out: str, root: str) -> str:
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_PR10.json",
+    parser.add_argument("--out",
+                        default=os.path.join(".bench-out", "BENCH_PR10.json"),
                         help="report path; a relative path is anchored at "
                              "--root, not the caller's cwd (default: "
-                             "<root>/BENCH_PR10.json)")
+                             "<root>/.bench-out/BENCH_PR10.json, gitignored)")
     parser.add_argument("--root", default=ROOT,
                         help="repository root the benchmarks and the "
                              "snapshot trajectory are read from "
@@ -183,6 +188,7 @@ def main(argv=None) -> int:
     report["trajectory"] = load_trajectory(root=root, exclude=out)
     report["tests_passed"] = all(b["passed"]
                                  for b in report["benches"].values())
+    os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
