@@ -20,6 +20,8 @@ shards and runs merge by plain key-wise addition:
 * ``telemetry`` — appending the tick's rows into the column stores;
 * ``controllers`` — stepping Heracles/baseline controllers;
 * ``rollup`` — fleet-level history re-assembly and stacking;
+* ``schedule`` — replaying the job scheduler over a ``schedule:``
+  scenario's slack view, after the fleet run;
 * ``ipc`` — dispatch wall-clock not accounted to any phase above
   (pool dispatch, pickling, result transport and packing); with a
   parallel pool shard time overlaps, so this residual is clamped at
@@ -42,7 +44,7 @@ PROFILE_ENV = "REPRO_PROFILE"
 
 #: The fixed phase vocabulary; merges are key-wise sums over this set.
 PHASES = ("build", "chaos", "physics", "telemetry", "controllers",
-          "rollup", "ipc")
+          "rollup", "schedule", "ipc")
 
 
 def profile_enabled() -> bool:

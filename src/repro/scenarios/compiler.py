@@ -34,6 +34,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Union
 
 from ..baselines import SCENARIO_BASELINES, baseline_for_sim
@@ -608,16 +609,20 @@ class CompiledScenario:
                             processes=processes,
                             slack_epoch_s=schedule.epoch_s,
                             **self._fleet_run_kwargs())
+        start = perf_counter()
         scheduled = run_schedule(outcome.slack, schedule.expand_jobs(),
                                  policy=schedule.policy,
                                  queue_limit=schedule.queue_limit)
+        profile = outcome.profile
+        if profile is not None:
+            profile = dict(profile, schedule=perf_counter() - start)
         payloads = [p for p in (outcome.trace, scheduled.trace)
                     if p is not None]
         return ScenarioResult(spec=spec, kind="schedule", fleet=outcome,
                               schedule=scheduled,
                               trace=(concat_payloads(payloads)
                                      if payloads else None),
-                              profile=outcome.profile)
+                              profile=profile)
 
     def _run_cluster(self, processes: Optional[int]) -> ScenarioResult:
         spec = self.spec

@@ -18,7 +18,7 @@ retires 2.4 core-seconds of job demand per second.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -92,7 +92,6 @@ class JobRecord:
     completed_at_s: Optional[float] = None
     evictions: int = 0
     pinned_leaf: Optional[int] = None
-    assigned: dict = field(default_factory=dict)
 
     @property
     def remaining_core_s(self) -> float:

@@ -2,18 +2,23 @@
 
 A policy sees one :class:`PlacementContext` per decision epoch — the
 previous epoch's per-leaf slack signals (per-slot harvest rate, the
-Heracles BE-core grant, the SLO latch) plus the queue in priority
-order — and returns, for each job, the BE core slots it should hold on
-which leaves this epoch.  Policies are *pure*: same context, same
-placement, which is what makes scheduling runs bit-reproducible across
-shard counts and worker pools.
+Heracles BE-core grant, the SLO latch) plus the runnable queue in
+priority order, as ``max_cores`` / ``pinned_leaf`` arrays — and
+returns a :class:`Placement`: sparse ``(job, leaf, cores)`` int64
+arrays, one entry per (job, leaf) pair holding slots this epoch, with
+``job`` indexing the context's queue.  Policies are *pure*: same
+context, same placement, which is what makes scheduling runs
+bit-reproducible across shard counts and worker pools.
 
 Three policies ship, mirroring the evaluation axes of the paper's
 cluster study:
 
 * ``slack-greedy`` — the Heracles-driven scheduler: pack the queue
   onto the leaves with the highest per-slot harvest rate, skipping
-  leaves that latched their SLO last epoch;
+  leaves that latched their SLO last epoch.  Laid end to end, the
+  ranked leaves' free slots and the queue's parallelism limits are two
+  partitions of one line; greedy packing is their interval
+  intersection, computed without a loop over jobs or leaves;
 * ``round-robin`` — slack-blind spreading: cycle the leaf list,
   placing one slot at a time wherever Heracles granted cores;
 * ``static`` — static provisioning, the paper's baseline: each job is
@@ -23,17 +28,16 @@ cluster study:
 Every policy honours the same hard constraint: a leaf is never
 assigned more slots than its (previous-epoch) Heracles grant, which
 itself never exceeds the machine's core count — the capacity
-invariant ``tests/test_sched_properties.py`` pins.
+invariant ``tests/test_sched_properties.py`` pins and the scheduler
+re-checks on every placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import NamedTuple
 
 import numpy as np
-
-from .jobs import JobRecord
 
 #: Registered policy names, in the order the docs list them.
 POLICIES = ("slack-greedy", "round-robin", "static")
@@ -48,7 +52,9 @@ class PlacementContext:
     estimate of what one slot on each leaf will earn; ``cap`` (N,) is
     the previous epoch's Heracles BE-core grant (the slot supply);
     ``latched`` (N,) flags leaves that hit their SLO last epoch.
-    ``jobs`` is the runnable queue in priority order.
+    ``max_cores`` (R,) and ``pinned_leaf`` (R,) describe the runnable
+    queue in priority order: each job's parallelism limit and the leaf
+    it was pinned to at admission.
     """
 
     epoch: int
@@ -56,7 +62,8 @@ class PlacementContext:
     rate_per_core: np.ndarray
     cap: np.ndarray
     latched: np.ndarray
-    jobs: Sequence[JobRecord]
+    max_cores: np.ndarray
+    pinned_leaf: np.ndarray
 
     @property
     def leaves(self) -> int:
@@ -64,7 +71,24 @@ class PlacementContext:
         return len(self.cap)
 
 
-Placement = List[Dict[int, int]]
+class Placement(NamedTuple):
+    """One epoch's placement: sparse ``(job, leaf, cores)`` int64 arrays.
+
+    Entry ``i`` gives queue job ``job[i]`` ``cores[i]`` BE core slots
+    on leaf ``leaf[i]``.  Entry order is free; a (job, leaf) pair
+    appears at most once.
+    """
+
+    job: np.ndarray
+    leaf: np.ndarray
+    cores: np.ndarray
+
+
+def _placement(job, leaf, cores) -> Placement:
+    """A :class:`Placement` with every field as an int64 array."""
+    return Placement(np.asarray(job, dtype=np.int64),
+                     np.asarray(leaf, dtype=np.int64),
+                     np.asarray(cores, dtype=np.int64))
 
 
 class Policy:
@@ -74,7 +98,7 @@ class Policy:
     name = "abstract"
 
     def place(self, ctx: PlacementContext) -> Placement:
-        """Return one ``{leaf: cores}`` dict per job in ``ctx.jobs``."""
+        """Return the epoch's :class:`Placement` for ``ctx``'s queue."""
         raise NotImplementedError
 
 
@@ -93,32 +117,35 @@ class SlackGreedyPolicy(Policy):
     name = "slack-greedy"
 
     def place(self, ctx: PlacementContext) -> Placement:
-        """Greedy descending-rate packing (see class docstring)."""
+        """Greedy descending-rate packing (see class docstring).
+
+        A fill cursor that never retreats hands job ``j`` exactly the
+        slots in ``[M[j-1], M[j])`` of the ranked leaves' concatenated
+        free slots, ``M`` being the cumulative ``max_cores``; leaf
+        ``i`` holds ``[S[i-1], S[i])``.  Cutting the line at every
+        ``S`` and ``M`` boundary leaves segments that each lie in one
+        job and one leaf — the placement, in integers.
+        """
         usable = (ctx.rate_per_core > 0) & ~ctx.latched
-        free = np.where(usable, ctx.cap, 0).astype(int)
+        free = np.where(usable, ctx.cap, 0).astype(np.int64)
         # Stable sort on negated rate: equal-rate leaves stay in leaf
-        # order, so the packing is one deterministic sequence.  The
-        # cursor never retreats — slots are consumed front to back —
-        # keeping one epoch's packing O(leaves + jobs).
-        order = [int(i) for i in np.argsort(-ctx.rate_per_core,
-                                            kind="stable")
-                 if usable[i] and free[i] > 0]
-        pos = 0
-        placement: Placement = []
-        for record in ctx.jobs:
-            out: Dict[int, int] = {}
-            want = record.job.max_cores
-            while want > 0 and pos < len(order):
-                leaf = order[pos]
-                grab = int(min(free[leaf], want))
-                if grab > 0:
-                    free[leaf] -= grab
-                    want -= grab
-                    out[leaf] = out.get(leaf, 0) + grab
-                if free[leaf] == 0:
-                    pos += 1
-            placement.append(out)
-        return placement
+        # order, so the packing is one deterministic sequence.
+        order = np.argsort(-ctx.rate_per_core, kind="stable")
+        order = order[free[order] > 0]
+        supply = np.cumsum(free[order])
+        demand = np.cumsum(np.asarray(ctx.max_cores, dtype=np.int64))
+        total = min(supply[-1] if len(supply) else 0,
+                    demand[-1] if len(demand) else 0)
+        # The union of both lines' boundaries up to the shorter end; a
+        # boundary both share leaves an empty segment, dropped.
+        cuts = np.sort(np.concatenate(
+            ([0], supply[supply <= total], demand[demand <= total])))
+        length = np.diff(cuts)
+        starts = cuts[:-1][length > 0]
+        return _placement(np.searchsorted(demand, starts, side="right"),
+                          order[np.searchsorted(supply, starts,
+                                                side="right")],
+                          length[length > 0])
 
 
 class RoundRobinPolicy(Policy):
@@ -136,23 +163,27 @@ class RoundRobinPolicy(Policy):
 
     def place(self, ctx: PlacementContext) -> Placement:
         """One-slot-at-a-time rotation over the granted leaves."""
-        free = np.maximum(ctx.cap, 0).astype(int)
-        leaves = [int(i) for i in range(ctx.leaves) if free[i] > 0]
-        placement: Placement = []
+        free = np.maximum(ctx.cap, 0).astype(np.int64).tolist()
+        leaves = [i for i in range(ctx.leaves) if free[i] > 0]
+        jobs, slots, cores = [], [], []
         if not leaves:
-            return [{} for _ in ctx.jobs]
+            return _placement(jobs, slots, cores)
+        spare = sum(free)
         cursor = ctx.epoch % len(leaves)
-        for record in ctx.jobs:
-            out: Dict[int, int] = {}
+        for j, want in enumerate(ctx.max_cores.tolist()):
+            # Once the ring is full, every later job finds nothing.
+            if spare == 0:
+                break
+            out = {}
             taken = 0
             # Keep cycling the ring — one slot per leaf per pass —
             # until the job is satisfied or a full pass finds nothing
             # free (jobs wider than the ring wrap around it).
             progressed = True
-            while taken < record.job.max_cores and progressed:
+            while taken < want and progressed:
                 progressed = False
                 for step in range(len(leaves)):
-                    if taken >= record.job.max_cores:
+                    if taken >= want:
                         break
                     leaf = leaves[(cursor + step) % len(leaves)]
                     if free[leaf] > 0:
@@ -160,9 +191,12 @@ class RoundRobinPolicy(Policy):
                         out[leaf] = out.get(leaf, 0) + 1
                         taken += 1
                         progressed = True
+            spare -= taken
             cursor = (cursor + 1) % len(leaves)
-            placement.append(out)
-        return placement
+            jobs += [j] * len(out)
+            slots += out.keys()
+            cores += out.values()
+        return _placement(jobs, slots, cores)
 
 
 class StaticPolicy(Policy):
@@ -179,17 +213,17 @@ class StaticPolicy(Policy):
 
     def place(self, ctx: PlacementContext) -> Placement:
         """Slots on the pinned leaf only, capped by its grant."""
-        free = np.maximum(ctx.cap, 0).astype(int)
-        placement: Placement = []
-        for record in ctx.jobs:
-            out: Dict[int, int] = {}
-            leaf = record.pinned_leaf
-            if leaf is not None and free[leaf] > 0:
-                grab = int(min(free[leaf], record.job.max_cores))
+        free = np.maximum(ctx.cap, 0).astype(np.int64).tolist()
+        jobs, slots, cores = [], [], []
+        for j, (leaf, want) in enumerate(zip(ctx.pinned_leaf.tolist(),
+                                             ctx.max_cores.tolist())):
+            if free[leaf] > 0:
+                grab = min(free[leaf], want)
                 free[leaf] -= grab
-                out[leaf] = grab
-            placement.append(out)
-        return placement
+                jobs.append(j)
+                slots.append(leaf)
+                cores.append(grab)
+        return _placement(jobs, slots, cores)
 
 
 _POLICY_TYPES = {cls.name: cls for cls in (SlackGreedyPolicy,

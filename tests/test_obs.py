@@ -30,8 +30,8 @@ from repro.obs import (FIELDS, KINDS, PHASES, SOURCES, PhaseProfiler,
                        make_sink, merge_payloads, merge_profiles,
                        read_jsonl, render_profile, trace_enabled,
                        write_jsonl)
-from repro.scenarios import (CheckpointSpec, compile_scenario, load_scenario,
-                             run_scenario)
+from repro.scenarios import (CheckpointSpec, compile_scenario, library,
+                             load_scenario, run_scenario)
 from repro.scenarios.spec import (FleetSpec, InjectionSpec, ScenarioSpec,
                                   ScheduleSpec, ShardSpec, TraceSpec,
                                   JobSpec, WorkloadSpec)
@@ -358,6 +358,15 @@ class TestProfiler:
         assert set(result.profile) <= set(PHASES)
         assert result.profile["build"] >= delay_s
         assert result.profile["ipc"] < delay_s
+
+    def test_schedule_phase_is_attributed(self):
+        spec = library.batch_backlog_1k_scenario(time_compression=720.0,
+                                                 leaves_scale=0.03)
+        spec.validate()
+        result = run_traced(spec, trace=False, profile=True)
+        assert set(result.profile) <= set(PHASES)
+        assert result.profile["schedule"] > 0.0
+        assert result.schedule.summary()["jobs"] > 0
 
     def test_build_phase_off_path(self):
         from repro.sim.megabatch import MegaFleetSim

@@ -21,8 +21,9 @@ from repro.sched import (BeJob, JobState, PlacementContext,
                          RoundRobinPolicy, SlackGreedyPolicy, StaticPolicy,
                          compare_policies, expand_jobs, make_policy,
                          render_comparison, run_schedule, tco_summary)
-from repro.sched.jobs import JobRecord
+from repro.sched.policies import Placement, Policy
 from repro.sim.runner import JOBS_ENV
+from sched_reference import as_dicts
 
 CLUSTER_FIELDS = ("t_s", "load", "root_latency_ms", "root_slo_fraction",
                   "emu")
@@ -75,43 +76,42 @@ def ctx_for(jobs, rate, cap, latched=None, epoch=1):
     rate = np.asarray(rate, dtype=float)
     if latched is None:
         latched = np.zeros(len(rate), dtype=bool)
-    records = [JobRecord(job=j, state=JobState.QUEUED) for j in jobs]
-    for i, record in enumerate(records):
-        record.pinned_leaf = i % len(rate)
     return PlacementContext(
         epoch=epoch, epoch_len_s=60.0, rate_per_core=rate,
         cap=np.asarray(cap, dtype=float),
-        latched=np.asarray(latched, dtype=bool), jobs=records)
+        latched=np.asarray(latched, dtype=bool),
+        max_cores=np.array([j.max_cores for j in jobs], dtype=np.int64),
+        pinned_leaf=np.arange(len(jobs), dtype=np.int64) % len(rate))
 
 
 class TestPolicies:
     def test_greedy_packs_best_leaves_first(self):
         ctx = ctx_for([BeJob("j", 1e6, max_cores=6)],
                       rate=[0.2, 0.9, 0.5], cap=[4, 4, 4])
-        placement = SlackGreedyPolicy().place(ctx)
+        placement = as_dicts(SlackGreedyPolicy().place(ctx), ctx)
         assert placement == [{1: 4, 2: 2}]
 
     def test_greedy_skips_latched_and_zero_rate_leaves(self):
         ctx = ctx_for([BeJob("j", 1e6, max_cores=8)],
                       rate=[0.2, 0.9, 0.0], cap=[4, 4, 4],
                       latched=[False, True, False])
-        placement = SlackGreedyPolicy().place(ctx)
+        placement = as_dicts(SlackGreedyPolicy().place(ctx), ctx)
         assert placement == [{0: 4}]
 
     def test_greedy_is_work_conserving(self):
         jobs = [BeJob(f"j{i}", 1e6, max_cores=3) for i in range(4)]
         ctx = ctx_for(jobs, rate=[0.5, 0.4], cap=[5, 5])
-        placement = SlackGreedyPolicy().place(ctx)
+        placement = as_dicts(SlackGreedyPolicy().place(ctx), ctx)
         placed = sum(sum(p.values()) for p in placement)
         # 12 wanted cores against 10 slots: every slot is filled.
         assert placed == 10
 
     def test_round_robin_spreads_and_rotates(self):
         jobs = [BeJob("j", 1e6, max_cores=2)]
-        p0 = RoundRobinPolicy().place(
-            ctx_for(jobs, rate=[0, 0, 0], cap=[2, 2, 2], epoch=0))
-        p1 = RoundRobinPolicy().place(
-            ctx_for(jobs, rate=[0, 0, 0], cap=[2, 2, 2], epoch=1))
+        c0 = ctx_for(jobs, rate=[0, 0, 0], cap=[2, 2, 2], epoch=0)
+        c1 = ctx_for(jobs, rate=[0, 0, 0], cap=[2, 2, 2], epoch=1)
+        p0 = as_dicts(RoundRobinPolicy().place(c0), c0)
+        p1 = as_dicts(RoundRobinPolicy().place(c1), c1)
         assert p0 == [{0: 1, 1: 1}]
         assert p1 == [{1: 1, 2: 1}]
 
@@ -119,24 +119,24 @@ class TestPolicies:
         # A job wider than the granted-leaf count keeps cycling until
         # its parallelism limit or the grant runs out.
         jobs = [BeJob("wide", 1e6, max_cores=8)]
-        placement = RoundRobinPolicy().place(
-            ctx_for(jobs, rate=[0, 0], cap=[8, 8], epoch=0))
+        ctx = ctx_for(jobs, rate=[0, 0], cap=[8, 8], epoch=0)
+        placement = as_dicts(RoundRobinPolicy().place(ctx), ctx)
         assert placement == [{0: 4, 1: 4}]
-        placement = RoundRobinPolicy().place(
-            ctx_for(jobs, rate=[0, 0], cap=[3, 2], epoch=0))
+        ctx = ctx_for(jobs, rate=[0, 0], cap=[3, 2], epoch=0)
+        placement = as_dicts(RoundRobinPolicy().place(ctx), ctx)
         assert placement == [{0: 3, 1: 2}]
 
     def test_static_stays_on_pinned_leaf(self):
         jobs = [BeJob("a", 1e6, max_cores=8), BeJob("b", 1e6, max_cores=8)]
         ctx = ctx_for(jobs, rate=[0.1, 0.9, 0.9], cap=[4, 4, 4])
-        placement = StaticPolicy().place(ctx)
+        placement = as_dicts(StaticPolicy().place(ctx), ctx)
         assert placement == [{0: 4}, {1: 4}]
 
     def test_all_policies_respect_caps(self):
         jobs = [BeJob(f"j{i}", 1e6, max_cores=50) for i in range(3)]
         for policy in ("slack-greedy", "round-robin", "static"):
             ctx = ctx_for(jobs, rate=[0.5, 0.5], cap=[3, 2])
-            placement = make_policy(policy).place(ctx)
+            placement = as_dicts(make_policy(policy).place(ctx), ctx)
             per_leaf = {}
             for slots in placement:
                 for leaf, cores in slots.items():
@@ -147,6 +147,60 @@ class TestPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
             make_policy("fifo")
+
+
+class BrokenPolicy(Policy):
+    """Places nothing at epoch 0, then one fixed (job, leaf, cores) set."""
+
+    name = "broken"
+
+    def __init__(self, job, leaf, cores, dtype=np.int64):
+        self.fields = [np.asarray(f, dtype=dtype) for f in (job, leaf, cores)]
+
+    def place(self, ctx):
+        """The fixed placement once the fleet has reported slack."""
+        if ctx.epoch == 0:
+            return Placement(*(f[:0] for f in self.fields))
+        return Placement(*self.fields)
+
+
+class TestPlacementGate:
+    """Each placement invariant the scheduler enforces, broken once."""
+
+    @staticmethod
+    def run(policy):
+        # Two leaves with a grant of 4; two jobs of max_cores 3.
+        slack = make_slack([[100.0, 100.0]] * 2, [[4, 4]] * 2)
+        jobs = [BeJob("a", 1e6, max_cores=3), BeJob("b", 1e6, max_cores=3)]
+        return run_schedule(slack, jobs, policy=policy)
+
+    @pytest.mark.parametrize("policy, match", [
+        (BrokenPolicy([0], [0], [-1]), "negative cores"),
+        (BrokenPolicy([0, 0], [0, 1], [2, 2]), "over its max_cores=3"),
+        (BrokenPolicy([0, 1], [0, 0], [3, 2]), "over its grant of 4"),
+        (BrokenPolicy([0, 0], [1, 1], [1, 1]), "more than once"),
+        (BrokenPolicy([2], [0], [1]), "outside the 2-job queue"),
+        (BrokenPolicy([-1], [0], [1]), "outside the 2-job queue"),
+        (BrokenPolicy([0], [2], [1]), "or the 2-leaf fleet"),
+        (BrokenPolicy([0], [0], [1], dtype=float), "integer array"),
+    ])
+    def test_broken_placement_fails_loudly(self, policy, match):
+        with pytest.raises(ValueError, match=match):
+            self.run(policy)
+
+    def test_dict_placements_are_not_a_second_path(self):
+        class DictPolicy(Policy):
+            name = "dicts"
+
+            def place(self, ctx):
+                return [{} for _ in ctx.max_cores]
+
+        with pytest.raises(TypeError, match="not a Placement"):
+            self.run(DictPolicy())
+
+    def test_well_formed_placement_passes(self):
+        outcome = self.run(BrokenPolicy([0, 1], [0, 1], [3, 3]))
+        assert outcome.store.column("placed_cores").tolist() == [0, 6]
 
 
 class TestScheduler:
