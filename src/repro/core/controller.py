@@ -36,18 +36,28 @@ from .top_level import TopLevelController
 
 
 class SimBeThroughputProbe:
-    """Picklable BE-throughput probe bound to one colocation sim.
+    """Picklable BE-throughput probe bound to one sim's BE monitor.
 
     The checkpoint layer (:mod:`repro.sim.checkpoint`) pickles whole
     engines, controllers included; a local closure over ``sim`` would
-    break that, so the probe is a module-level callable instead.
+    break that, so the probe is a module-level callable instead.  It
+    holds the monitor (assigned once, when the sim is built), not the
+    sim: sim -> controller -> probe -> sim would be a reference cycle,
+    and a finished sim would then wait for the cyclic collector instead
+    of being freed when its last reference goes.
     """
 
     def __init__(self, sim: ColocationSim):
-        self._sim = sim
+        self._monitor = sim.be_monitor
 
     def __call__(self) -> float:
-        monitor = self._sim.be_monitor
+        try:
+            monitor = self._monitor
+        except AttributeError:
+            # Restored from an archive written when the probe held the
+            # sim (as ``_sim``).  Unpickling builds the probe before the
+            # sim it belongs to, so the monitor is looked up here.
+            monitor = self._monitor = self.__dict__.pop("_sim").be_monitor
         return monitor.last_normalized if monitor is not None else 0.0
 
 

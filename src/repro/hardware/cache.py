@@ -16,6 +16,10 @@ Two models live here:
   (pseudo-)random replacement, a task's steady-state share of a shared
   cache is proportional to its miss rate — which itself depends on
   occupancy, so we solve the fixed point iteratively.
+
+:class:`~repro.hardware.server.Server` memoizes
+:func:`resolve_occupancy` on its exact inputs, so a :class:`CacheShare`
+may be shared between ticks; it is frozen for that reason.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class CacheDemand:
             raise ValueError("bulk_reuse must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheShare:
     """Resolved steady-state cache behaviour of one task."""
 
@@ -98,6 +102,15 @@ def _hit_fraction(demand: CacheDemand, hot_cov: float, bulk_cov: float) -> float
     return min(1.0, hot_hits + bulk_hits)
 
 
+def check_occupancy_inputs(partition_mb: float,
+                           demands: List[CacheDemand]) -> None:
+    """Raise ValueError unless :func:`resolve_occupancy` accepts these."""
+    if partition_mb < 0:
+        raise ValueError("partition size must be non-negative")
+    for d in demands:
+        d.validate()
+
+
 def resolve_occupancy(partition_mb: float,
                       demands: List[CacheDemand],
                       iterations: int = 8) -> List[CacheShare]:
@@ -112,10 +125,7 @@ def resolve_occupancy(partition_mb: float,
     defends more, which is how the paper's LC workloads "defend their
     share of resources better" at high load (§3.3).
     """
-    if partition_mb < 0:
-        raise ValueError("partition size must be non-negative")
-    for d in demands:
-        d.validate()
+    check_occupancy_inputs(partition_mb, demands)
     if not demands:
         return []
 

@@ -13,14 +13,26 @@ active cores (voltage tracks frequency, so dynamic power ~ f^3).  Every
 core targets ``min(dvfs_cap, turbo_ceiling)``; if the socket would exceed
 TDP, frequencies scale down uniformly (respecting the DVFS floor) until
 power fits — which is exactly how package-level RAPL clamping behaves.
+
+:meth:`SocketPowerModel.resolve` memoizes that equilibrium per model
+instance on the exact requests, because a simulated socket revisits the
+same few allocations tick after tick.  A cached result is the solver's
+own output for an equal input, so memoization never changes a number;
+the results are frozen so a shared one cannot be mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .spec import SocketSpec
+
+#: Entries a solver memo holds before it is emptied: above the distinct
+#: inputs one controlled server produces (at most 117 per server on the
+#: Figure 4 grid), small enough that a run whose every input is new (a
+#: diurnal load) stays bounded.
+MEMO_LIMIT = 256
 
 
 @dataclass
@@ -52,7 +64,7 @@ class CorePowerRequest:
             raise ValueError("DVFS cap must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerGrant:
     """Achieved frequency for one request group."""
 
@@ -60,14 +72,14 @@ class PowerGrant:
     freq_ghz: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerResolution:
     """Socket-wide power outcome."""
 
     socket_power_watts: float
     tdp_watts: float
     throttled: bool
-    grants: List[PowerGrant]
+    grants: Tuple[PowerGrant, ...]
 
     def freq_of(self, task: str) -> float:
         for g in self.grants:
@@ -85,6 +97,17 @@ class SocketPowerModel:
 
     def __init__(self, spec: SocketSpec):
         self.spec = spec
+        self._memo: Dict[tuple, PowerResolution] = {}
+
+    def __getstate__(self):
+        # The memo is rebuilt on demand; checkpoints do not carry it.
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._memo = {}
 
     def _power_watts(self, requests: List[CorePowerRequest],
                      freqs: Dict[str, float]) -> float:
@@ -99,13 +122,36 @@ class SocketPowerModel:
     def resolve(self, requests: List[CorePowerRequest]) -> PowerResolution:
         """Find the frequency each group actually runs at.
 
+        Every request is validated, then the equilibrium is looked up by
+        the requests' exact fields and solved (:meth:`_solve`) only on a
+        miss.  The key compares floats with ``==``, so ``0.0`` and
+        ``-0.0`` share an entry; that cannot change an output bit.  The
+        only keyed float that may be zero is ``activity``, validated
+        ``>= 0``, and it reaches the outputs only through a power sum
+        that starts at ``+0.0``, to which a ``-0.0`` term adds nothing.
+        A NaN (which validation lets through only as a DVFS cap) equals
+        nothing but itself, so it finds at most the solver's own output
+        for that very object.
+        """
+        for r in requests:
+            r.validate()
+        key = tuple((r.task, r.cores, r.activity, r.dvfs_cap_ghz)
+                    for r in requests)
+        resolution = self._memo.get(key)
+        if resolution is None:
+            if len(self._memo) >= MEMO_LIMIT:
+                self._memo.clear()
+            resolution = self._memo[key] = self._solve(requests)
+        return resolution
+
+    def _solve(self, requests: List[CorePowerRequest]) -> PowerResolution:
+        """The equilibrium of validated requests.
+
         1. Target frequency = min(DVFS cap, turbo ceiling for the number
            of active cores on the socket).
         2. If the resulting power exceeds TDP, scale all frequencies by a
            common factor (floored at the DVFS minimum) via bisection.
         """
-        for r in requests:
-            r.validate()
         active = sum(r.cores for r in requests if r.activity > 0)
         ceiling = self.spec.turbo.turbo_ceiling_ghz(active, self.spec.cores)
 
@@ -133,8 +179,8 @@ class SocketPowerModel:
             freqs = {t: max(floor, f * lo) for t, f in targets.items()}
             power = self._power_watts(requests, freqs)
 
-        grants = [PowerGrant(task=r.task, freq_ghz=freqs[r.task])
-                  for r in requests]
+        grants = tuple(PowerGrant(task=r.task, freq_ghz=freqs[r.task])
+                       for r in requests)
         return PowerResolution(
             socket_power_watts=power,
             tdp_watts=self.spec.tdp_watts,

@@ -16,22 +16,37 @@ contention physics in dependency order:
 The result is a :class:`TaskUsage` per task: achieved frequency, cache
 coverage, memory delay, and network satisfaction — the raw ingredients
 the perf layer turns into tail latency and throughput.
+
+The two iterative solves, power (in
+:class:`~repro.hardware.power.SocketPowerModel`) and LLC occupancy
+(:meth:`Server._occupancy`), are memoized on their exact inputs: a
+server under a feedback controller revisits the same few allocations
+tick after tick.  A cached result is the solver's own output for an
+equal input, so memoization never changes a number.  The DRAM and
+network solves are cheap and read capacities that chaos mutates in
+place, so they are not memoized.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .cache import CacheDemand, CatController, resolve_occupancy
+from .cache import (CacheDemand, CacheShare, CatController,
+                    check_occupancy_inputs, resolve_occupancy)
 from .cpu import CpuTopology
 from .memory import MemoryController, MemoryDemand
 from .network import EgressLink, FlowDemand
-from .power import CorePowerRequest, RaplMeter, SocketPowerModel
+from .power import MEMO_LIMIT, CorePowerRequest, RaplMeter, SocketPowerModel
 from .spec import MachineSpec, default_machine_spec
 
 #: Name of the implicit CAT class used by tasks with no explicit partition.
 DEFAULT_COS = "default"
+
+#: Exact IEEE-754 bytes of a partition size / of a cache demand's floats.
+_PARTITION_BITS = struct.Struct("<d").pack
+_DEMAND_BITS = struct.Struct("<5d").pack
 
 
 @dataclass
@@ -162,6 +177,7 @@ class Server:
             for s in range(self.spec.sockets)
         }
         self.link = EgressLink(self.spec.nic.link_gbps)
+        self._occupancy_memo: Dict[tuple, Tuple[CacheShare, ...]] = {}
         self._usages: Dict[str, TaskUsage] = {}
         self._telemetry = ServerTelemetry(
             sockets=[SocketTelemetry(0.0, self.spec.socket.tdp_watts,
@@ -169,6 +185,16 @@ class Server:
                      for _ in range(self.spec.sockets)],
             link_tx_gbps=0.0, link_utilization=0.0,
             cores_in_use=0, total_cores=self.spec.total_cores)
+
+    def __getstate__(self):
+        # The memo is rebuilt on demand; checkpoints do not carry it.
+        state = self.__dict__.copy()
+        del state["_occupancy_memo"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._occupancy_memo = {}
 
     # ------------------------------------------------------------------
     # Resolution
@@ -261,7 +287,7 @@ class Server:
                         partition_mb = cat.llc_mb
                 else:
                     partition_mb = cat.partition_mb(cos)
-                for share in resolve_occupancy(partition_mb, cds):
+                for share in self._occupancy(partition_mb, cds):
                     task = owner[share.task]
                     miss_by_task_socket[(task, s)] = share.miss_gbps
                     prev = per_task.get(task)
@@ -278,6 +304,32 @@ class Server:
                             (prev[2] + share.bulk_coverage) / 2,
                             prev[3] + share.occupancy_mb)
         return {"per_task": per_task, "miss": miss_by_task_socket}
+
+    def _occupancy(self, partition_mb: float,
+                   cds: List[CacheDemand]) -> Tuple[CacheShare, ...]:
+        """:func:`resolve_occupancy`, memoized on its exact inputs.
+
+        The inputs are validated on every call, hit or miss.  Floats are
+        keyed by their IEEE-754 bytes, so ``0.0`` and ``-0.0`` get
+        separate entries: the solver carries a ``-0.0`` access rate into
+        ``miss_gbps``, and a ``-0.0`` hot fraction and reuse together
+        into ``hit_fraction``.  Equal bytes, NaNs included, are the same
+        input, for which the solver returns the same bits.
+        """
+        check_occupancy_inputs(partition_mb, cds)
+        key = (_PARTITION_BITS(partition_mb),
+               tuple((c.task, _DEMAND_BITS(c.hot_mb, c.bulk_mb,
+                                           c.access_gbps,
+                                           c.hot_access_fraction,
+                                           c.bulk_reuse))
+                     for c in cds))
+        memo = self._occupancy_memo
+        shares = memo.get(key)
+        if shares is None:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            shares = memo[key] = tuple(resolve_occupancy(partition_mb, cds))
+        return shares
 
     def _resolve_memory(self, demands: List[TaskTickDemand],
                         cache_results: Dict) -> Dict:

@@ -19,12 +19,19 @@ returned list does not record anything — use ``history.append``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import FrozenSet, List, Optional, Tuple, Type
 
 import numpy as np
 
 from .columns import BatchColumnStore, ColumnStore
 from .windows import WindowedMetrics
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(record_type: Type) -> Tuple[str, ...]:
+    """Field names of a record dataclass, computed once per type."""
+    return tuple(f.name for f in dataclasses.fields(record_type))
 
 
 class RecordSeries:
@@ -51,7 +58,7 @@ class RecordSeries:
     @classmethod
     def field_names(cls) -> Tuple[str, ...]:
         """The record dataclass's field names, in declaration order."""
-        return tuple(f.name for f in dataclasses.fields(cls.RECORD_TYPE))
+        return _field_names(cls.RECORD_TYPE)
 
     @classmethod
     def field_dtypes(cls) -> List[Tuple[str, object]]:

@@ -244,17 +244,12 @@ class Actuators:
         BE DRAM traffic across memory controllers.  LC owns the
         complement, so the cpusets are disjoint by construction.
         """
-        be = {s: 0 for s in range(self.spec.sockets)}
-        left = self.be_cores
-        for _ in range(left):
-            # Round-robin, fullest-last: keeps per-socket counts within 1.
-            target = min(range(self.spec.sockets),
-                         key=lambda s: (be[s], s))
-            if be[target] >= self.spec.socket.cores:
-                break
-            be[target] += 1
-        lc = {s: self.spec.socket.cores - be[s]
-              for s in range(self.spec.sockets)}
+        # Round-robin from socket 0: per-socket counts stay within 1 of
+        # each other, each capped at the socket's cores.
+        cores = self.spec.socket.cores
+        q, r = divmod(self.be_cores, self.spec.sockets)
+        be = {s: min(cores, q + (s < r)) for s in range(self.spec.sockets)}
+        lc = {s: cores - be[s] for s in range(self.spec.sockets)}
         return lc, be
 
     def lc_allocation(self) -> Allocation:
